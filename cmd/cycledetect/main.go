@@ -9,9 +9,13 @@
 //	cycledetect -gen pg:7 -k 2 -mode bounded
 //	cycledetect -gen planted:8192:6:1.5 -k 3 -mode classical -trials 16 -parallel 0
 //
-// -algo is an alias for -mode; mode "det" runs the deterministic
-// broadcast-CONGEST detector (arXiv:2412.11195), which is seedless — its
-// output is a pure function of the graph.
+// -algo is an alias for -mode. The modes the detection service serves
+// take its algorithm names and aliases: even (alias classical), bounded,
+// odd, and det (alias deterministic) — the deterministic broadcast-CONGEST
+// detector (arXiv:2412.11195), which is seedless: its output is a pure
+// function of the graph, so -trials does not apply. The remaining modes
+// are quantum, oddquantum, boundedquantum, list, local, and the
+// localthreshold and kball baselines.
 //
 // -json replaces the human-readable output with one JSON object on stdout
 // (verdict, witness, rounds, bits, graph fingerprint, ...), so scripts,
@@ -44,6 +48,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/sched"
+	"repro/internal/service"
 
 	evencycle "repro"
 )
@@ -123,7 +128,7 @@ func run() error {
 	gen := flag.String("gen", "gnm:1000:2000", "graph source (see doc comment)")
 	k := flag.Int("k", 2, "half cycle length: detect C_2k (or C_{2k+1} in odd mode)")
 	mode := flag.String("mode", "classical",
-		"classical | det | quantum | odd | oddquantum | bounded | boundedquantum | list | local | localthreshold | kball")
+		"even (classical) | det (deterministic) | bounded | odd | quantum | oddquantum | boundedquantum | list | local | localthreshold | kball")
 	flag.StringVar(mode, "algo", "classical", "alias for -mode")
 	seed := flag.Uint64("seed", 1, "master random seed (also seeds -gen; the det detector itself is seedless — for a fixed graph its output never depends on the seed)")
 	iterations := flag.Int("iterations", 0, "override coloring repetitions (0 = faithful)")
@@ -257,6 +262,13 @@ func run() error {
 			fmt.Printf("witness (C_%d): %v\n", out.FoundLen, out.Witness)
 		}
 	}
+	printSeedless := func() {
+		fmt.Printf("found=%v rounds=%d messages=%d congestion=%d overflowed=%v\n",
+			out.Found, out.Rounds, out.Messages, out.MaxCongestion, out.Overflowed)
+		if out.Found {
+			fmt.Printf("witness (C_%d): %v\n", out.FoundLen, out.Witness)
+		}
+	}
 	printQuantum := func() {
 		fmt.Printf("found=%v quantumRounds=%.0f components=%d eps=%.3g\n",
 			out.Found, out.QuantumRounds, out.Components, out.Eps)
@@ -282,38 +294,6 @@ func run() error {
 	}
 
 	switch *mode {
-	case "classical":
-		if err := runAndRender(fillClassical(evencycle.Detect), printClassical); err != nil {
-			return err
-		}
-	case "det", "deterministic":
-		// The deterministic broadcast detector is seedless: one run is the
-		// whole answer, so -trials/-parallel do not apply.
-		res, err := evencycle.DetectDeterministic(g, *k, opts...)
-		if err != nil {
-			return err
-		}
-		out.Found = res.Found
-		out.Witness = res.Witness
-		out.FoundLen = res.FoundLen
-		out.Rounds, out.Messages, out.Bits = res.Rounds, res.Messages, res.Bits
-		out.MaxCongestion, out.Overflowed = res.MaxCongestion, res.Overflowed
-		if !*jsonMode {
-			fmt.Printf("found=%v rounds=%d messages=%d congestion=%d overflowed=%v\n",
-				out.Found, out.Rounds, out.Messages, out.MaxCongestion, out.Overflowed)
-			if out.Found {
-				fmt.Printf("witness (C_%d): %v\n", out.FoundLen, out.Witness)
-			}
-		}
-		out.verifyWitness(g, *jsonMode)
-	case "bounded":
-		if err := runAndRender(fillClassical(evencycle.DetectBounded), printClassical); err != nil {
-			return err
-		}
-	case "odd":
-		if err := runAndRender(fillClassical(evencycle.DetectOdd), printClassical); err != nil {
-			return err
-		}
 	case "list":
 		cycles, err := evencycle.ListCycles(g, *k, opts...)
 		if err != nil {
@@ -392,7 +372,23 @@ func run() error {
 		}
 		out.verifyWitness(g, *jsonMode)
 	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+		// The detection service's detectors, by its names and aliases.
+		algo, err := service.ParseAlgo(*mode)
+		if err != nil {
+			return fmt.Errorf("unknown mode %q", *mode)
+		}
+		fill := fillClassical(func(g *evencycle.Graph, k int, opts ...evencycle.Option) (*evencycle.Result, error) {
+			return evencycle.DetectNamed(g, string(algo), k, opts...)
+		})
+		show := printClassical
+		if !algo.Randomized() {
+			// A seedless detector: one run is the whole answer, so
+			// -trials/-parallel do not apply.
+			*trials, show = 1, printSeedless
+		}
+		if err := runAndRender(fill, show); err != nil {
+			return err
+		}
 	}
 
 	if *jsonMode {

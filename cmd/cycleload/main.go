@@ -138,13 +138,13 @@ type LoadRecord struct {
 
 // LoadConfig echoes the generator parameters.
 type LoadConfig struct {
-	Clients    int    `json:"clients"`
-	Requests   int    `json:"requests"`
-	Algo       string `json:"algo"`
-	K          int    `json:"k"`
-	Distinct   int    `json:"distinct"`
-	Iterations int    `json:"iterations,omitempty"`
-	Seed       uint64 `json:"seed"`
+	Clients    int          `json:"clients"`
+	Requests   int          `json:"requests"`
+	Algo       service.Algo `json:"algo"`
+	K          int          `json:"k"`
+	Distinct   int          `json:"distinct"`
+	Iterations int          `json:"iterations,omitempty"`
+	Seed       uint64       `json:"seed"`
 	// Inline is the graph-spec template of the many-small-graphs mode
 	// (empty = corpus mode).
 	Inline string `json:"inline,omitempty"`
@@ -250,7 +250,7 @@ func run() error {
 	addr := flag.String("addr", "http://localhost:8972", "cycleserved base URL")
 	clients := flag.Int("clients", 8, "concurrent closed-loop clients")
 	requests := flag.Int("requests", 400, "total requests to issue")
-	algo := flag.String("algo", "det", "algo per request: even | bounded | odd | det")
+	algoName := flag.String("algo", "det", "algo per request: a detection-service algo name or alias, e.g. even, bounded, odd, det")
 	k := flag.Int("k", 2, "half cycle length")
 	distinct := flag.Int("distinct", 0, "corpus names to cycle through (0 = all)")
 	iterations := flag.Int("iterations", 0, "trial budget per request (0 = server default; randomized algos)")
@@ -286,6 +286,10 @@ func run() error {
 	flag.Var(&faults, "fault", "arm a fault-injection point as point:every=N[:limit=M][:delay=D] (repeatable; -direct/-chaos only)")
 	flag.Parse()
 
+	algo, err := service.ParseAlgo(*algoName)
+	if err != nil {
+		return fmt.Errorf("-algo: %w", err)
+	}
 	if *vsSolo && !*direct {
 		return fmt.Errorf("-vs-solo requires -direct")
 	}
@@ -358,7 +362,7 @@ func run() error {
 		}
 	}
 	cfg := LoadConfig{
-		Clients: *clients, Requests: *requests, Algo: *algo, K: *k,
+		Clients: *clients, Requests: *requests, Algo: algo, K: *k,
 		Distinct: len(names), Iterations: *iterations, Seed: *seed, Inline: *inline,
 		DeadlineMS:      *deadlineMS,
 		ClientTimeoutMS: clientTimeout.Milliseconds(),
@@ -370,7 +374,7 @@ func run() error {
 		return fmt.Errorf("-retries only applies over HTTP; -direct failures carry typed errors, not statuses")
 	}
 	fmt.Fprintf(os.Stderr, "load: %d requests, %d clients, %d distinct graphs, algo=%s k=%d\n",
-		*requests, *clients, len(names), *algo, *k)
+		*requests, *clients, len(names), algo, *k)
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -383,13 +387,9 @@ func run() error {
 	}
 
 	if *chaos {
-		algoP, err := service.ParseAlgo(*algo)
-		if err != nil {
-			return err
-		}
 		svcCfg := service.Config{Slots: *slots, CacheEntries: 2*len(gs) + 16,
 			BatchSize: *batch, BatchLinger: *batchLinger}
-		return chaosRun(w, svcCfg, gs, names, algoP, cfg, faults, *label, *jsonOut, *chaosTimeout)
+		return chaosRun(w, svcCfg, gs, names, cfg, faults, *label, *jsonOut, *chaosTimeout)
 	}
 	for _, spec := range faults {
 		if err := faultpoint.Set(spec); err != nil {
@@ -399,17 +399,13 @@ func run() error {
 	}
 
 	if *vsSolo {
-		algoP, err := service.ParseAlgo(*algo)
-		if err != nil {
-			return err
-		}
 		base := service.Config{Slots: *slots, CacheEntries: 2*len(gs) + 16,
 			BatchSize: *batch, BatchLinger: *batchLinger}
 		batchedCfg := service.New(base).Config() // resolve defaults for the record
 		soloCfg := base
 		soloCfg.BatchSize = 1
 
-		solo, batched, identical, err := compareRuns(soloCfg, base, gs, names, algoP, cfg, *trials)
+		solo, batched, identical, err := compareRuns(soloCfg, base, gs, names, cfg, *trials)
 		if err != nil {
 			return err
 		}
@@ -450,13 +446,9 @@ func run() error {
 
 	var rec *LoadRecord
 	if *direct {
-		algoP, err := service.ParseAlgo(*algo)
-		if err != nil {
-			return err
-		}
 		svcCfg := service.Config{Slots: *slots, CacheEntries: 2*len(gs) + 16,
 			BatchSize: *batch, BatchLinger: *batchLinger}
-		rec, _, _, err = directRun(svcCfg, gs, names, algoP, cfg)
+		rec, _, _, err = directRun(svcCfg, gs, names, cfg)
 		if err != nil {
 			return err
 		}
@@ -482,7 +474,7 @@ func run() error {
 		}
 	}
 	rec.Label = *label
-	if *algo == "det" || *algo == "deterministic" {
+	if !algo.Randomized() {
 		// DetByteIdentical is filled per run; surface a pointer even when
 		// no body repeated so the gate below stays meaningful.
 		if rec.Totals.DetByteIdentical == nil {
@@ -558,7 +550,7 @@ func httpRun(addr string, gs []*graph.Graph, names []string, cfg LoadConfig) (*L
 	bodies := make([][]byte, len(names))
 	for i := range names {
 		wire := &service.WireRequest{
-			Algo:       cfg.Algo,
+			Algo:       string(cfg.Algo),
 			K:          cfg.K,
 			Seed:       cfg.Seed,
 			Iterations: cfg.Iterations,
@@ -594,7 +586,7 @@ func httpRun(addr string, gs []*graph.Graph, names []string, cfg LoadConfig) (*L
 	} else {
 		rec.ServerStats = st
 	}
-	if cfg.Algo == "det" || cfg.Algo == "deterministic" {
+	if !cfg.Algo.Randomized() {
 		identical := detBodiesIdentical(samples)
 		rec.Totals.DetByteIdentical = &identical
 	}
@@ -605,13 +597,13 @@ func httpRun(addr string, gs []*graph.Graph, names []string, cfg LoadConfig) (*L
 // returning the run record, the per-graph response bodies (for
 // cross-path equivalence checks), and the raw samples (for per-request
 // chaos gating).
-func directRun(svcCfg service.Config, gs []*graph.Graph, names []string, algo service.Algo, cfg LoadConfig) (*LoadRecord, map[string][]byte, []sample, error) {
+func directRun(svcCfg service.Config, gs []*graph.Graph, names []string, cfg LoadConfig) (*LoadRecord, map[string][]byte, []sample, error) {
 	svc := service.New(svcCfg)
 	stride := timeoutStride(cfg.TimeoutFrac)
 	samples, elapsed := replay(cfg.Requests, cfg.Clients, func(i int) sample {
 		name := names[i%len(names)]
 		req := &service.Request{
-			Graph: gs[i%len(gs)], Algo: algo, K: cfg.K,
+			Graph: gs[i%len(gs)], Algo: cfg.Algo, K: cfg.K,
 			Seed: cfg.Seed, Iterations: cfg.Iterations,
 			Deadline: time.Duration(cfg.DeadlineMS) * time.Millisecond,
 		}
@@ -642,7 +634,7 @@ func directRun(svcCfg service.Config, gs []*graph.Graph, names []string, algo se
 	rec.Config = cfg
 	st := svc.Stats()
 	rec.ServerStats = &st
-	if algo == service.AlgoDet {
+	if !cfg.Algo.Randomized() {
 		identical := detBodiesIdentical(samples)
 		rec.Totals.DetByteIdentical = &identical
 	}
@@ -687,7 +679,7 @@ func timeoutStride(frac float64) int {
 // burst of host interference lands on both paths alike instead of
 // skewing whichever side it happened to hit. All trials of both paths
 // must produce byte-identical per-graph responses.
-func compareRuns(soloCfg, batchedCfg service.Config, gs []*graph.Graph, names []string, algo service.Algo, cfg LoadConfig, trials int) (solo, batched *LoadRecord, identical bool, err error) {
+func compareRuns(soloCfg, batchedCfg service.Config, gs []*graph.Graph, names []string, cfg LoadConfig, trials int) (solo, batched *LoadRecord, identical bool, err error) {
 	if trials < 1 {
 		trials = 1
 	}
@@ -698,7 +690,7 @@ func compareRuns(soloCfg, batchedCfg service.Config, gs []*graph.Graph, names []
 			cfg  service.Config
 			best **LoadRecord
 		}{{soloCfg, &solo}, {batchedCfg, &batched}} {
-			rec, bodies, _, rerr := directRun(p.cfg, gs, names, algo, cfg)
+			rec, bodies, _, rerr := directRun(p.cfg, gs, names, cfg)
 			if rerr != nil {
 				return nil, nil, false, rerr
 			}
@@ -748,7 +740,7 @@ var defaultChaosFaults = []string{
 
 // chaosRun is the robustness acceptance harness (see the package
 // comment). It exits non-zero if any failure-domain invariant breaks.
-func chaosRun(w io.Writer, svcCfg service.Config, gs []*graph.Graph, names []string, algo service.Algo, cfg LoadConfig, faults []string, label string, jsonOut bool, watchdog time.Duration) error {
+func chaosRun(w io.Writer, svcCfg service.Config, gs []*graph.Graph, names []string, cfg LoadConfig, faults []string, label string, jsonOut bool, watchdog time.Duration) error {
 	if len(faults) == 0 {
 		faults = defaultChaosFaults
 	}
@@ -759,7 +751,7 @@ func chaosRun(w io.Writer, svcCfg service.Config, gs []*graph.Graph, names []str
 	faultpoint.Reset()
 	refCfg := cfg
 	refCfg.ClientTimeoutMS, refCfg.TimeoutFrac = 0, 0
-	refRec, refBodies, _, err := directRun(svcCfg, gs, names, algo, refCfg)
+	refRec, refBodies, _, err := directRun(svcCfg, gs, names, refCfg)
 	if err != nil {
 		return err
 	}
@@ -784,7 +776,7 @@ func chaosRun(w io.Writer, svcCfg service.Config, gs []*graph.Graph, names []str
 	}
 	resc := make(chan result, 1)
 	go func() {
-		rec, _, samples, err := directRun(svcCfg, gs, names, algo, cfg)
+		rec, _, samples, err := directRun(svcCfg, gs, names, cfg)
 		resc <- result{rec, samples, err}
 	}()
 	var res result

@@ -13,8 +13,13 @@
 //
 //	POST /v1/detect     {"algo":"even|bounded|odd|det","k":2,
 //	                     "corpus":"name" | "graph":{"n":N,"edges":[[u,v],...]},
-//	                     "seed":S,"iterations":I,"threshold":T,"pipelined":false}
+//	                     "seed":S,"iterations":I,"threshold":T,"eps":E,"pipelined":false}
 //	                    → the verdict JSON (found, witness, rounds, bits, ...).
+//	                    algo takes the service's detector-table names and
+//	                    aliases ("classical" = even, "deterministic" = det,
+//	                    "" = even); knobs an algo ignores (seed and
+//	                    iterations for det, eps and pipelined for odd and
+//	                    det) do not split its cache entry.
 //	                    Serve-path metadata travels in headers
 //	                    (X-Evencycle-Source: cache|coalesced|amplified|computed,
 //	                    X-Evencycle-Elapsed-Ns, and for computed requests

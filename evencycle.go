@@ -29,12 +29,12 @@ package evencycle
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/deterministic"
 	"repro/internal/graph"
-	"repro/internal/lowprob"
 	"repro/internal/quantum"
+	"repro/internal/service"
 )
 
 // Graph is an immutable simple undirected graph (vertices 0..N-1).
@@ -119,8 +119,9 @@ func WithShards(s int) Option { return func(c *config) { c.shards = s } }
 // WithThreshold overrides the congestion threshold τ: the per-node
 // identifier cap of the classical detectors (Instruction 19 of
 // Algorithm 1; the faithful Θ(n^{1-1/k}) value when unset) and of
-// DetectDeterministic. Lower thresholds trade detection completeness for
-// congestion — the ablation experiments sweep exactly this.
+// DetectDeterministic, and DetectOdd's constant forwarding threshold.
+// Lower thresholds trade detection completeness for congestion — the
+// ablation experiments sweep exactly this.
 func WithThreshold(tau int) Option { return func(c *config) { c.threshold = tau } }
 
 // WithParallel sets how many independent trials (coloring iterations, or
@@ -179,41 +180,48 @@ type Result struct {
 // Detect decides C_{2k}-freeness on g with the paper's classical
 // Algorithm 1 (Theorem 1): one-sided error, O(n^{1-1/k}) rounds.
 func Detect(g *Graph, k int, opts ...Option) (*Result, error) {
-	c := buildConfig(opts)
-	res, err := core.DetectEvenCycle(g, k, core.Options{
-		Eps:           c.eps,
-		MaxIterations: c.iterations,
-		Threshold:     c.threshold,
-		Seed:          c.seed,
-		Workers:       c.workers,
-		Shards:        c.shards,
-		Parallel:      c.parallel,
-		Pipelined:     c.pipelined,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("evencycle: %w", err)
-	}
-	out := &Result{
-		Found:         res.Found,
-		Witness:       res.Witness,
-		Rounds:        res.Rounds,
-		Messages:      res.Messages,
-		Bits:          res.Bits,
-		MaxCongestion: res.MaxCongestion,
-		Overflowed:    res.Overflowed,
-		Iterations:    res.IterationsRun,
-	}
-	if res.Found {
-		out.FoundLen = 2 * k
-	}
-	return out, nil
+	return detect(g, service.AlgoEven, k, opts)
 }
 
 // DetectBounded decides F_{2k}-freeness (any cycle of length ≤ 2k,
 // Section 3.5's classical base algorithm).
 func DetectBounded(g *Graph, k int, opts ...Option) (*Result, error) {
+	return detect(g, service.AlgoBounded, k, opts)
+}
+
+// DetectOdd decides C_{2k+1}-freeness with the Section 3.4 randomized
+// base algorithm (classically repeated; see DetectOddQuantum for the
+// amplified version). WithThreshold overrides its constant forwarding
+// threshold (default 4).
+func DetectOdd(g *Graph, k int, opts ...Option) (*Result, error) {
+	return detect(g, service.AlgoOdd, k, opts)
+}
+
+// DetectNamed runs the classical detector the detection service serves
+// under algo — a canonical name or alias such as "even", "classical",
+// "odd" or "det" — exactly as its Detect* function above runs it.
+func DetectNamed(g *Graph, algo string, k int, opts ...Option) (*Result, error) {
+	return detect(g, service.Algo(algo), k, opts)
+}
+
+// detect runs algo's solo detector from the service's detector table
+// with the raw seed, outside any cache.
+func detect(g *Graph, algo service.Algo, k int, opts []Option) (*Result, error) {
 	c := buildConfig(opts)
-	res, err := core.DetectBoundedCycle(g, k, core.Options{
+	resp, err := service.Run(c.request(g, algo, k), service.Config{
+		Workers:  c.workers,
+		Shards:   c.shards,
+		Parallel: c.parallel,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("evencycle: %w", err)
+	}
+	return resultOf(resp), nil
+}
+
+// coreOptions maps the options onto the classical detectors' options.
+func (c *config) coreOptions() core.Options {
+	return core.Options{
 		Eps:           c.eps,
 		MaxIterations: c.iterations,
 		Threshold:     c.threshold,
@@ -222,50 +230,39 @@ func DetectBounded(g *Graph, k int, opts ...Option) (*Result, error) {
 		Shards:        c.shards,
 		Parallel:      c.parallel,
 		Pipelined:     c.pipelined,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("evencycle: %w", err)
 	}
-	return &Result{
-		Found:         res.Found,
-		Witness:       res.Witness,
-		FoundLen:      res.FoundLen,
-		Rounds:        res.Rounds,
-		Messages:      res.Messages,
-		Bits:          res.Bits,
-		MaxCongestion: res.MaxCongestion,
-		Overflowed:    res.Overflowed,
-		Iterations:    res.IterationsRun,
-	}, nil
 }
 
-// DetectOdd decides C_{2k+1}-freeness with the Section 3.4 randomized
-// base algorithm (classically repeated; see DetectOddQuantum for the
-// amplified version).
-func DetectOdd(g *Graph, k int, opts ...Option) (*Result, error) {
-	c := buildConfig(opts)
-	res, err := lowprob.DetectOdd(g, k, lowprob.OddOptions{
-		MaxIterations: c.iterations,
-		Seed:          c.seed,
-		Workers:       c.workers,
-		Shards:        c.shards,
-		Parallel:      c.parallel,
-		SeedProb:      1, // classical mode: every color-0 node participates
-	})
-	if err != nil {
-		return nil, fmt.Errorf("evencycle: %w", err)
+// request maps the options onto a detection request.
+func (c *config) request(g *Graph, algo service.Algo, k int) *service.Request {
+	return &service.Request{
+		Graph:      g,
+		Algo:       algo,
+		K:          k,
+		Seed:       c.seed,
+		Iterations: c.iterations,
+		Threshold:  c.threshold,
+		Eps:        c.eps,
+		Pipelined:  c.pipelined,
 	}
-	out := &Result{
-		Found:      res.Found,
-		Witness:    res.Witness,
-		Rounds:     res.Rounds,
-		Messages:   res.Messages,
-		Iterations: res.IterationsRun,
+}
+
+// resultOf converts a detection response. The witness is cloned: a
+// served Response (and its witness slice) is shared by every cache hit
+// on its key, and a caller mutating Result.Witness must not corrupt the
+// entry behind everyone else's hits.
+func resultOf(resp *service.Response) *Result {
+	return &Result{
+		Found:         resp.Found,
+		Witness:       slices.Clone(resp.Witness),
+		FoundLen:      resp.FoundLen,
+		Rounds:        resp.Rounds,
+		Messages:      resp.Messages,
+		Bits:          resp.Bits,
+		MaxCongestion: resp.MaxCongestion,
+		Overflowed:    resp.Overflowed,
+		Iterations:    resp.Iterations,
 	}
-	if res.Found {
-		out.FoundLen = 2*k + 1
-	}
-	return out, nil
 }
 
 // ListCycles runs the listing variant (Section 1.2 of the paper): all
@@ -275,16 +272,7 @@ func DetectOdd(g *Graph, k int, opts ...Option) (*Result, error) {
 // probability ≥ 1-ε.
 func ListCycles(g *Graph, k int, opts ...Option) ([][]NodeID, error) {
 	c := buildConfig(opts)
-	res, err := core.ListEvenCycles(g, k, core.Options{
-		Eps:           c.eps,
-		MaxIterations: c.iterations,
-		Threshold:     c.threshold,
-		Seed:          c.seed,
-		Workers:       c.workers,
-		Shards:        c.shards,
-		Parallel:      c.parallel,
-		Pipelined:     c.pipelined,
-	})
+	res, err := core.ListEvenCycles(g, k, c.coreOptions())
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
@@ -305,16 +293,7 @@ type LocalDetection struct {
 // discovered cycle rejects.
 func DetectLocal(g *Graph, k int, opts ...Option) (*LocalDetection, error) {
 	c := buildConfig(opts)
-	res, err := core.DetectEvenCycleLocal(g, k, core.Options{
-		Eps:           c.eps,
-		MaxIterations: c.iterations,
-		Threshold:     c.threshold,
-		Seed:          c.seed,
-		Workers:       c.workers,
-		Shards:        c.shards,
-		Parallel:      c.parallel,
-		Pipelined:     c.pipelined,
-	})
+	res, err := core.DetectEvenCycleLocal(g, k, c.coreOptions())
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
@@ -352,52 +331,41 @@ type QuantumResult struct {
 	Eps float64
 }
 
-func quantumResult(res *quantum.Result) *QuantumResult {
+// detectQuantum runs one of the quantum pipelines with the options.
+func detectQuantum(detect func(*graph.Graph, int, quantum.Options) (*quantum.Result, error),
+	g *Graph, k int, opts []Option) (*QuantumResult, error) {
+	c := buildConfig(opts)
+	res, err := detect(g, k, quantum.Options{
+		Delta:             c.delta,
+		MaxSims:           c.maxSims,
+		AttemptIterations: c.iterations,
+		Seed:              c.seed,
+		Workers:           c.workers,
+		Shards:            c.shards,
+		Parallel:          c.parallel,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("evencycle: %w", err)
+	}
 	return &QuantumResult{
 		Found:         res.Found,
 		Witness:       res.Witness,
 		QuantumRounds: res.QuantumRounds,
 		Components:    res.Components,
 		Eps:           res.Eps,
-	}
+	}, nil
 }
 
 // DetectQuantum decides C_{2k}-freeness on the quantum CONGEST ledger
 // (Theorem 2): Õ(n^{1/2-1/2k}) charged rounds, error 1/poly(n).
 func DetectQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, error) {
-	c := buildConfig(opts)
-	res, err := quantum.DetectEvenCycle(g, k, quantum.Options{
-		Delta:             c.delta,
-		MaxSims:           c.maxSims,
-		AttemptIterations: c.iterations,
-		Seed:              c.seed,
-		Workers:           c.workers,
-		Shards:            c.shards,
-		Parallel:          c.parallel,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("evencycle: %w", err)
-	}
-	return quantumResult(res), nil
+	return detectQuantum(quantum.DetectEvenCycle, g, k, opts)
 }
 
 // DetectOddQuantum decides C_{2k+1}-freeness in Θ̃(√n) charged quantum
 // rounds (Section 3.4).
 func DetectOddQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, error) {
-	c := buildConfig(opts)
-	res, err := quantum.DetectOddCycle(g, k, quantum.Options{
-		Delta:             c.delta,
-		MaxSims:           c.maxSims,
-		AttemptIterations: c.iterations,
-		Seed:              c.seed,
-		Workers:           c.workers,
-		Shards:            c.shards,
-		Parallel:          c.parallel,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("evencycle: %w", err)
-	}
-	return quantumResult(res), nil
+	return detectQuantum(quantum.DetectOddCycle, g, k, opts)
 }
 
 // DetectDeterministic runs the deterministic broadcast-CONGEST detector
@@ -415,46 +383,11 @@ func DetectOddQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, error) {
 // WithWorkers/WithShards tune the simulator (bit-identical results) and
 // WithThreshold overrides τ.
 func DetectDeterministic(g *Graph, k int, opts ...Option) (*Result, error) {
-	c := buildConfig(opts)
-	res, err := deterministic.Detect(g, k, deterministic.Options{
-		Threshold: c.threshold,
-		Seed:      c.seed,
-		Workers:   c.workers,
-		Shards:    c.shards,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("evencycle: %w", err)
-	}
-	out := &Result{
-		Found:         res.Found,
-		Witness:       res.Witness,
-		Rounds:        res.Rounds,
-		Messages:      res.Messages,
-		Bits:          res.Bits,
-		MaxCongestion: res.MaxCongestion,
-		Overflowed:    res.Overflowed,
-	}
-	if res.Found {
-		out.FoundLen = 2 * k
-	}
-	return out, nil
+	return detect(g, service.AlgoDet, k, opts)
 }
 
 // DetectBoundedQuantum decides F_{2k}-freeness in Õ(n^{1/2-1/2k}) charged
 // quantum rounds (Section 3.5), improving van Apeldoorn–de Vos [PODC'22].
 func DetectBoundedQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, error) {
-	c := buildConfig(opts)
-	res, err := quantum.DetectBoundedCycle(g, k, quantum.Options{
-		Delta:             c.delta,
-		MaxSims:           c.maxSims,
-		AttemptIterations: c.iterations,
-		Seed:              c.seed,
-		Workers:           c.workers,
-		Shards:            c.shards,
-		Parallel:          c.parallel,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("evencycle: %w", err)
-	}
-	return quantumResult(res), nil
+	return detectQuantum(quantum.DetectBoundedCycle, g, k, opts)
 }

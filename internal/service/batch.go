@@ -4,8 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/deterministic"
 	"repro/internal/faultpoint"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -15,48 +13,28 @@ import (
 // The batched miss path. Concurrent cache misses whose parameters are
 // compatible (same algo / k / threshold / ε / schedule — everything but
 // the graph, seed and budget) are collected by a sched.Batcher and run as
-// ONE fused engine session on the disjoint union of their graphs
-// (core.DetectEvenCycleFused / deterministic.DetectMulti). The fused run
+// ONE fused engine session on the disjoint union of their graphs (the
+// detector table's fused run, e.g. core.DetectEvenCycleFused). The fused run
 // is transcript-equivalent per component to a solo run, so each
 // component's verdict is cached under its own fingerprint exactly as if
 // it had been computed alone: a batch of B misses seeds B cache entries
 // for the price of one session.
 
-// fusable reports whether the algo has a fused execution path. The
-// bounded-length and odd detectors keep the solo path: their internal
-// structure (length pairs, repetition schedule) has no fused variant.
-func fusable(a Algo) bool { return a == AlgoEven || a == AlgoDet }
-
 // compatKey is the batch compatibility key: requests agreeing on it may
 // share one fused session. Graph, seed and trial budget are deliberately
-// absent — they are per-component inputs of the fused run.
+// absent — they are per-component inputs of the fused run. The knobs a
+// detector ignores are already zeroed by validate.
 type compatKey struct {
-	algo      Algo
+	det       *detector
 	k         int
 	threshold int
 	eps       float64
 	pipelined bool
 }
 
-func compatFor(req *Request) compatKey {
-	ck := compatKey{
-		algo:      req.Algo,
-		k:         req.K,
-		threshold: req.Threshold,
-		eps:       req.Eps,
-		pipelined: req.Pipelined,
-	}
-	if req.Algo == AlgoDet {
-		ck.eps = 0
-		ck.pipelined = false
-	}
-	return ck
-}
-
 // fuseItem is one miss-path request travelling through the batcher.
 type fuseItem struct {
 	req   *Request
-	fp    graph.Fingerprint
 	key   cacheKey
 	prior *entry
 	// enqueued is when the item entered the batcher, set only on timed
@@ -82,11 +60,9 @@ type fuseOut struct {
 // same response whether it was fused or ran alone.
 const fuseSeedSalt = 0xf5eed
 
-// runSeed is the seed the detector runs with for this request.
+// runSeed is the seed the detector runs with for this request (seedless
+// detectors ignore it).
 func runSeed(req *Request, fp graph.Fingerprint) uint64 {
-	if !req.Algo.randomized() {
-		return 0
-	}
 	return sched.Tag(req.Seed, fuseSeedSalt, fp[0], fp[1])
 }
 
@@ -144,18 +120,11 @@ func (s *Service) execBatch(ck compatKey, items []*fuseItem) ([]fuseOut, error) 
 		// Degenerate batch: the existing solo path, one session. The
 		// detached context keeps the batch contract — a batch that
 		// formed runs to completion and caches, even if its waiter left.
-		resp, amplified, err := s.compute(context.Background(), items[0].req, items[0].fp, items[0].prior)
+		resp, amplified, err := s.compute(context.Background(), items[0].req, items[0].key, items[0].prior)
 		outs = []fuseOut{{resp: resp, amplified: amplified, err: err}}
 		s.soloSessions.Add(1)
 	} else {
-		switch ck.algo {
-		case AlgoEven:
-			outs = s.runFusedEven(ck, items)
-		case AlgoDet:
-			outs = s.runFusedDet(ck, items)
-		default:
-			outs = s.runSoloFallback(items)
-		}
+		outs = s.runFused(ck, items)
 	}
 
 	engineDur := time.Since(start)
@@ -189,31 +158,19 @@ func (s *Service) execBatch(ck compatKey, items []*fuseItem) ([]fuseOut, error) 
 	return outs, nil
 }
 
-// runFusedEven maps a batch onto one core.DetectEvenCycleFused call.
+// runFused runs a batch as one fused session of its detector.
 // Amplification composes per item: a component with a cached not-found
 // budget B runs only its missing trials, on the same continuation seed
 // the solo path would use.
-func (s *Service) runFusedEven(ck compatKey, items []*fuseItem) []fuseOut {
+func (s *Service) runFused(ck compatKey, items []*fuseItem) []fuseOut {
 	B := len(items)
-	fitems := make([]core.FusedItem, B)
+	rs := make([]run, B)
+	resps := make([]*Response, B)
 	for i, it := range items {
-		seed := runSeed(it.req, it.fp)
-		iterations := it.req.Iterations
-		if amplifies(it) {
-			iterations = it.req.Iterations - it.prior.budget
-			seed = sched.Tag(seed, amplifySalt, uint64(it.prior.budget))
-		}
-		fitems[i] = core.FusedItem{Graph: it.req.Graph, Seed: seed, Iterations: iterations}
+		rs[i] = s.runFor(it.req, it.key.fp, it.prior)
+		resps[i] = &Response{Algo: it.req.Algo, K: it.req.K, Fingerprint: it.key.fp.String()}
 	}
-	results, err := core.DetectEvenCycleFused(fitems, ck.k, core.Options{
-		Eps:       ck.eps,
-		Threshold: ck.threshold,
-		Pipelined: ck.pipelined,
-		Workers:   s.cfg.Workers,
-		Shards:    s.cfg.Shards,
-		Observe:   s.engineObs,
-	})
-	if err != nil {
+	if err := ck.det.fused(rs, resps); err != nil {
 		// A component the fused path cannot represent (e.g. a graph too
 		// small to parameterize) fails the whole call before any engine
 		// work; re-running the batch solo localizes the error to its item.
@@ -223,37 +180,7 @@ func (s *Service) runFusedEven(ck compatKey, items []*fuseItem) []fuseOut {
 	s.fusedRequests.Add(int64(B))
 	outs := make([]fuseOut, B)
 	for i, it := range items {
-		resp := &Response{Algo: it.req.Algo, K: it.req.K, Fingerprint: it.fp.String()}
-		fillEven(resp, it.req.K, results[i])
-		outs[i] = finishAmplify(it, resp)
-	}
-	return outs
-}
-
-// runFusedDet maps a batch onto one deterministic.DetectMulti call. The
-// detector is seedless and budget-free, so components carry only graphs.
-func (s *Service) runFusedDet(ck compatKey, items []*fuseItem) []fuseOut {
-	B := len(items)
-	gs := make([]*graph.Graph, B)
-	for i, it := range items {
-		gs[i] = it.req.Graph
-	}
-	results, err := deterministic.DetectMulti(gs, ck.k, deterministic.Options{
-		Threshold: ck.threshold,
-		Workers:   s.cfg.Workers,
-		Shards:    s.cfg.Shards,
-		Observe:   s.engineObs,
-	})
-	if err != nil {
-		return s.runSoloFallback(items)
-	}
-	s.fusedSessions.Add(1)
-	s.fusedRequests.Add(int64(B))
-	outs := make([]fuseOut, B)
-	for i, it := range items {
-		resp := &Response{Algo: it.req.Algo, K: it.req.K, Fingerprint: it.fp.String()}
-		fillDet(resp, it.req.K, results[i])
-		outs[i] = fuseOut{resp: resp}
+		outs[i] = fuseOut{resp: resps[i], amplified: accumulate(resps[i], it.prior)}
 	}
 	return outs
 }
@@ -263,27 +190,11 @@ func (s *Service) runFusedDet(ck compatKey, items []*fuseItem) []fuseOut {
 func (s *Service) runSoloFallback(items []*fuseItem) []fuseOut {
 	outs := make([]fuseOut, len(items))
 	for i, it := range items {
-		resp, amplified, err := s.compute(context.Background(), it.req, it.fp, it.prior)
+		resp, amplified, err := s.compute(context.Background(), it.req, it.key, it.prior)
 		outs[i] = fuseOut{resp: resp, amplified: amplified, err: err}
 		if err == nil {
 			s.soloSessions.Add(1)
 		}
 	}
 	return outs
-}
-
-// amplifies reports whether the item extends a cached not-found verdict
-// instead of computing from scratch.
-func amplifies(it *fuseItem) bool {
-	return it.prior != nil && !it.prior.resp.Found && it.req.Algo.randomized()
-}
-
-// finishAmplify folds the prior entry's accumulated history into an
-// amplifying item's response (mirroring compute's accumulation).
-func finishAmplify(it *fuseItem, resp *Response) fuseOut {
-	if !amplifies(it) {
-		return fuseOut{resp: resp}
-	}
-	accumulatePrior(resp, it.prior.resp)
-	return fuseOut{resp: resp, amplified: true}
 }

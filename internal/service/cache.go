@@ -6,49 +6,34 @@ import (
 	"repro/internal/graph"
 )
 
-// cacheKey identifies one cached verdict. The fingerprint pins the graph
-// structure; the remaining fields pin every parameter that can change a
-// detector's verdict. Iterations are deliberately absent: the entry
+// cacheKey identifies one cached verdict: the batch compatibility key
+// (detector, k and the verdict knobs), the fingerprint pinning the graph
+// structure, and the seed. Iterations are deliberately absent: the entry
 // records the budget it has accumulated, so requests with different
-// budgets share an entry (see entry.serves). For the deterministic
-// detector the seed and schedule are normalized away — they cannot affect
-// the verdict.
+// budgets share an entry (see entry.serves). The knobs a detector
+// ignores — for the deterministic detector the seed as well — are
+// zeroed by validate, so they cannot split entries.
 type cacheKey struct {
-	fp        graph.Fingerprint
-	algo      Algo
-	k         int
-	threshold int
-	eps       float64
-	pipelined bool
-	seed      uint64
+	compatKey
+	fp   graph.Fingerprint
+	seed uint64
 }
 
-func keyFor(req *Request, fp graph.Fingerprint) cacheKey {
-	key := cacheKey{
+// keyFor builds the cache key of a validated request.
+func keyFor(req *Request, d *detector, fp graph.Fingerprint) cacheKey {
+	return cacheKey{
+		compatKey: compatKey{det: d, k: req.K, threshold: req.Threshold, eps: req.Eps, pipelined: req.Pipelined},
 		fp:        fp,
-		algo:      req.Algo,
-		k:         req.K,
-		threshold: req.Threshold,
-		eps:       req.Eps,
-		pipelined: req.Pipelined,
 		seed:      req.Seed,
 	}
-	if req.Algo == AlgoDet {
-		key.seed = 0
-		key.pipelined = false
-	}
-	if req.Algo == AlgoDet || req.Algo == AlgoOdd {
-		key.eps = 0 // no ε parameter in these detectors
-	}
-	return key
 }
 
 // entry is one cached verdict plus its accumulated trial budget.
 type entry struct {
 	resp *Response
 	// budget is the cumulative number of randomized trials this entry has
-	// exhausted without a detection; meaningless once resp.Found or for
-	// the deterministic detector.
+	// exhausted without a detection; meaningless once resp.Found, and 0
+	// for seedless detectors.
 	budget int
 	// warmed marks an entry seeded by the corpus warm-start path at
 	// mutation time rather than by a request; hits on it count as
@@ -57,14 +42,12 @@ type entry struct {
 }
 
 // serves reports whether the entry can answer a request for `iterations`
-// trials without any computation: always for the deterministic detector
-// and for permanent Found verdicts, otherwise only when the accumulated
-// not-found budget covers the request.
-func (e *entry) serves(algo Algo, iterations int) bool {
-	if algo == AlgoDet || e.resp.Found {
-		return true
-	}
-	return iterations <= e.budget
+// trials without any computation: always for permanent Found verdicts,
+// otherwise only when the accumulated not-found budget covers the
+// request. Seedless detectors request (and record) a zero budget, so
+// their entries always serve.
+func (e *entry) serves(iterations int) bool {
+	return e.resp.Found || iterations <= e.budget
 }
 
 // lru is a size-bounded LRU map from cacheKey to entry. Not safe for

@@ -7,11 +7,17 @@
 // queue instead of oversubscribing the host, coalesces concurrent
 // identical requests into one computation (single-flight), and caches
 // verdicts in an LRU keyed by graph.Fingerprint plus the request
-// parameters. Two cache policies follow from the detector semantics:
+// parameters. Each servable algorithm is one entry of the detector table
+// (detector.go): names and aliases, minimum k, whether it is randomized,
+// the request knobs it ignores (zeroed by validate, so they never split
+// a cache entry), its solo run, and optional fused and warm-start runs.
+// Adding a detector is one entry plus its tests. Two cache policies
+// follow from the randomized flag:
 //
 //   - Deterministic detector (AlgoDet): the verdict is a pure function of
-//     the graph, so entries are cacheable forever and the seed is excluded
-//     from the key. Repeated requests are byte-identical cache hits.
+//     the graph, so entries are cacheable forever and the seed and budget
+//     are excluded from the key. Repeated requests are byte-identical
+//     cache hits.
 //   - Randomized detectors (AlgoEven, AlgoBounded, AlgoOdd): a Found
 //     verdict carries a re-verified witness and is therefore permanent
 //     (one-sidedness makes positive results deterministic facts). A

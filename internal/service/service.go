@@ -9,11 +9,8 @@ import (
 	"time"
 
 	"repro/internal/congest"
-	"repro/internal/core"
-	"repro/internal/deterministic"
 	"repro/internal/faultpoint"
 	"repro/internal/graph"
-	"repro/internal/lowprob"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -37,25 +34,6 @@ const (
 	// (arXiv:2412.11195): seedless, verdict a pure function of the graph.
 	AlgoDet Algo = "det"
 )
-
-// randomized reports whether the algo draws randomness (and therefore
-// carries a trial budget and a seed in its cache key).
-func (a Algo) randomized() bool { return a != AlgoDet }
-
-// ParseAlgo resolves the wire names (including aliases) to an Algo.
-func ParseAlgo(s string) (Algo, error) {
-	switch s {
-	case "even", "classical", "":
-		return AlgoEven, nil
-	case "bounded":
-		return AlgoBounded, nil
-	case "odd":
-		return AlgoOdd, nil
-	case "det", "deterministic":
-		return AlgoDet, nil
-	}
-	return "", fmt.Errorf("service: unknown algo %q (want even|bounded|odd|det)", s)
-}
 
 // Request is one detection request. Graph is required; the remaining
 // fields mirror the facade's Detect* options.
@@ -438,40 +416,47 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// validate rejects malformed requests before they consume a pool slot,
-// and normalizes req.Algo to its canonical name (aliases like
-// "classical" or "deterministic" would otherwise slip past the
-// string-keyed cache and dispatch switches).
-func validate(req *Request) error {
+// validate rejects malformed requests before they consume a pool slot
+// and returns the request's table entry. It then normalizes the request:
+// req.Algo becomes the canonical name (aliases like "classical" or
+// "deterministic" would otherwise slip past the cache key), and the
+// knobs the detector ignores are zeroed, so requests differing only in
+// them share one cache entry, one in-flight computation and one batch.
+func validate(req *Request) (*detector, error) {
 	if req.Graph == nil {
-		return fmt.Errorf("service: request has no graph")
+		return nil, fmt.Errorf("service: request has no graph")
 	}
-	algo, err := ParseAlgo(string(req.Algo))
+	d, err := lookup(string(req.Algo))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	req.Algo = algo
-	minK := 2
-	if req.Algo == AlgoOdd {
-		minK = 1
+	req.Algo = d.algo
+	if req.K < d.minK {
+		return nil, fmt.Errorf("service: algo %s needs k ≥ %d, got %d", req.Algo, d.minK, req.K)
 	}
-	if req.K < minK {
-		return fmt.Errorf("service: algo %s needs k ≥ %d, got %d", req.Algo, minK, req.K)
-	}
-	if req.Algo.randomized() && req.Iterations < 1 {
-		return fmt.Errorf("service: algo %s requires an explicit trial budget (iterations ≥ 1), got %d",
+	if d.randomized && req.Iterations < 1 {
+		return nil, fmt.Errorf("service: algo %s requires an explicit trial budget (iterations ≥ 1), got %d",
 			req.Algo, req.Iterations)
 	}
 	if req.Threshold < 0 {
-		return fmt.Errorf("service: negative threshold %d", req.Threshold)
+		return nil, fmt.Errorf("service: negative threshold %d", req.Threshold)
 	}
-	if req.Eps != 0 && (req.Eps <= 0 || req.Eps >= 1) {
-		return fmt.Errorf("service: ε = %v outside (0,1)", req.Eps)
+	if req.Eps != 0 && !(req.Eps > 0 && req.Eps < 1) {
+		return nil, fmt.Errorf("service: ε = %v outside (0,1)", req.Eps)
 	}
 	if req.Deadline < 0 {
-		return fmt.Errorf("service: negative deadline %v", req.Deadline)
+		return nil, fmt.Errorf("service: negative deadline %v", req.Deadline)
 	}
-	return nil
+	if !d.randomized {
+		req.Seed, req.Iterations = 0, 0
+	}
+	if d.ignores&knobEps != 0 {
+		req.Eps = 0
+	}
+	if d.ignores&knobPipelined != 0 {
+		req.Pipelined = false
+	}
+	return d, nil
 }
 
 // requestContext applies the request's deadline — or the server default
@@ -566,9 +551,9 @@ func (s *Service) Do(ctx context.Context, req *Request) (*Response, Source, erro
 // surface it, like the HTTP server's X-Evencycle-Batch header.
 func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, error) {
 	s.requests.Add(1)
-	// Work on a copy: validate normalizes the algo name, and mutating the
-	// caller's Request would make sharing one Request across goroutines a
-	// data race.
+	// Work on a copy: validate normalizes the algo name and the ignored
+	// knobs, and mutating the caller's Request would make sharing one
+	// Request across goroutines a data race.
 	local := *req
 	req = &local
 	// timed arms the stage/latency clock reads: for every request of an
@@ -579,7 +564,8 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 	if timed {
 		t0 = time.Now()
 	}
-	if err := validate(req); err != nil {
+	d, err := validate(req)
+	if err != nil {
 		s.errors.Add(1)
 		return nil, Info{}, err
 	}
@@ -589,11 +575,11 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 	ctx, cancelCtx := s.requestContext(ctx, req)
 	defer cancelCtx()
 	fp := req.Graph.Fingerprint()
-	key := keyFor(req, fp)
+	key := keyFor(req, d, fp)
 
 	for {
 		s.mu.Lock()
-		if ent := s.cache.get(key); ent != nil && ent.serves(req.Algo, req.Iterations) {
+		if ent := s.cache.get(key); ent != nil && ent.serves(req.Iterations) {
 			resp := ent.resp
 			warmed := ent.warmed
 			s.mu.Unlock()
@@ -609,8 +595,9 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 		if c, ok := s.inflight[key]; ok {
 			// A follower coalesces when the in-flight computation's budget
 			// covers its own (a Found result covers any budget; the check
-			// below re-verifies after completion).
-			covered := req.Algo == AlgoDet || c.targetIter >= req.Iterations
+			// below re-verifies after completion). Seedless detectors have
+			// a zero budget, which every computation covers.
+			covered := c.targetIter >= req.Iterations
 			s.mu.Unlock()
 			select {
 			case <-c.done:
@@ -632,7 +619,9 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 
 		// We are the leader. Snapshot the prior entry (if any) for
 		// amplification before releasing the lock; the in-flight map keeps
-		// other leaders for this key out until finish().
+		// other leaders for this key out until finish(). A prior entry is
+		// always a NotFound whose budget falls short of ours: serves
+		// accepts every other entry.
 		prior := s.cache.get(key)
 		c := &call{done: make(chan struct{}), targetIter: req.Iterations}
 		s.inflight[key] = c
@@ -653,7 +642,7 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 			return nil, Info{}, admit
 		}
 
-		resp, amplified, batch, err := s.dispatch(ctx, req, fp, key, prior)
+		resp, amplified, batch, err := s.dispatch(ctx, req, key, prior)
 		if err != nil {
 			err = classifyErr(ctx, err)
 			s.finish(key, c, nil, err)
@@ -686,44 +675,52 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 }
 
 // dispatch runs the leader's computation: through the batcher when the
-// request is fusable and batching is on, otherwise solo under its own
-// admission slot. It returns the batch size the work ran in.
-func (s *Service) dispatch(ctx context.Context, req *Request, fp graph.Fingerprint, key cacheKey, prior *entry) (*Response, bool, int, error) {
+// detector has a fused run and batching is on, otherwise solo under its
+// own admission slot. It returns the batch size the work ran in.
+func (s *Service) dispatch(ctx context.Context, req *Request, key cacheKey, prior *entry) (*Response, bool, int, error) {
 	timed := s.observe || req.Trace != nil
-	if s.batcher == nil || !fusable(req.Algo) || s.computeHook != nil {
-		var tq time.Time
-		if timed {
-			tq = time.Now()
-		}
-		if err := s.gate.Acquire(ctx); err != nil {
-			return nil, false, 0, err
-		}
-		defer s.gate.Release()
-		start := time.Now()
-		if timed {
-			s.noteStage(req.Trace, obs.StageQueueWait, start.Sub(tq))
-		}
-		resp, amplified, err := s.computeGuarded(ctx, req, fp, prior)
-		if err == nil {
-			s.noteSessionDuration(time.Since(start))
-			s.soloSessions.Add(1)
-		}
-		if timed {
-			s.noteStage(req.Trace, obs.StageEngine, time.Since(start))
-		}
+	if s.batcher == nil || key.det.fused == nil || s.computeHook != nil {
+		resp, amplified, err := s.soloSlot(ctx, req, key, prior, timed)
 		return resp, amplified, 1, err
 	}
-	item := &fuseItem{req: req, fp: fp, key: key, prior: prior}
+	item := &fuseItem{req: req, key: key, prior: prior}
 	if timed {
 		item.enqueued = time.Now()
 	}
-	out, batch, err := s.batcher.Do(ctx, compatFor(req), item)
+	out, batch, err := s.batcher.Do(ctx, key.compatKey, item)
 	if err != nil {
 		// ctx expired while waiting for the batch (the batch itself still
 		// computes and caches the item), or the batcher misbehaved.
 		return nil, false, 0, err
 	}
 	return out.resp, out.amplified, batch, out.err
+}
+
+// soloSlot runs one request on its own: it takes an admission slot,
+// computes under the panic fence and counts the solo session. timed
+// stamps the queue-wait and engine stages.
+func (s *Service) soloSlot(ctx context.Context, req *Request, key cacheKey, prior *entry, timed bool) (*Response, bool, error) {
+	var tq time.Time
+	if timed {
+		tq = time.Now()
+	}
+	if err := s.gate.Acquire(ctx); err != nil {
+		return nil, false, err
+	}
+	defer s.gate.Release()
+	start := time.Now()
+	if timed {
+		s.noteStage(req.Trace, obs.StageQueueWait, start.Sub(tq))
+	}
+	resp, amplified, err := s.computeGuarded(ctx, req, key, prior)
+	if err == nil {
+		s.noteSessionDuration(time.Since(start))
+		s.soloSessions.Add(1)
+	}
+	if timed {
+		s.noteStage(req.Trace, obs.StageEngine, time.Since(start))
+	}
+	return resp, amplified, err
 }
 
 // finish publishes the call result and clears the in-flight slot.
@@ -745,8 +742,8 @@ const amplifySalt = 0x5e2f1ce
 // crash (real or injected) converts to ErrInternal instead of unwinding
 // through DoInfo with the in-flight entry still registered — which
 // would hang every coalesced follower forever. The admission slot is
-// released by dispatch's defer either way, and nothing is cached.
-func (s *Service) computeGuarded(ctx context.Context, req *Request, fp graph.Fingerprint, prior *entry) (resp *Response, amplified bool, err error) {
+// released by soloSlot's defer either way, and nothing is cached.
+func (s *Service) computeGuarded(ctx context.Context, req *Request, key cacheKey, prior *entry) (resp *Response, amplified bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -756,15 +753,13 @@ func (s *Service) computeGuarded(ctx context.Context, req *Request, fp graph.Fin
 	if faultpoint.Enabled() {
 		faultpoint.Crash(faultpoint.DetectorPanic)
 	}
-	return s.compute(ctx, req, fp, prior)
+	return s.compute(ctx, req, key, prior)
 }
 
-// compute runs the detector, with the seed derivation shared by the solo
-// and fused paths (see runSeed). When prior is a not-found entry with
-// budget B < req.Iterations, only the missing req.Iterations-B trials
-// run, with a seed derived from (run seed, B) so the accumulated trial
-// history never repeats a coloring; costs accumulate into the returned
-// response. The reported second value is true on that amplification path.
+// compute runs the request's solo detector with the seed derivation and
+// amplification shared by the solo and fused paths (see runFor); costs
+// of an amplified prior entry accumulate into the returned response. The
+// reported second value is true on that amplification path.
 //
 // ctx cancellation propagates into the engine as a cooperative
 // CancelFlag polled at round boundaries: an abandoned or timed-out
@@ -772,7 +767,7 @@ func (s *Service) computeGuarded(ctx context.Context, req *Request, fp graph.Fin
 // caller) instead of running to quiescence. Detached paths (fused
 // batches, async jobs) pass a context with a nil Done channel, which
 // arms nothing and leaves transcripts untouched.
-func (s *Service) compute(ctx context.Context, req *Request, fp graph.Fingerprint, prior *entry) (*Response, bool, error) {
+func (s *Service) compute(ctx context.Context, req *Request, key cacheKey, prior *entry) (*Response, bool, error) {
 	var cancel *congest.CancelFlag
 	if ctx.Done() != nil {
 		cancel = &congest.CancelFlag{}
@@ -780,124 +775,46 @@ func (s *Service) compute(ctx context.Context, req *Request, fp graph.Fingerprin
 		defer stop()
 	}
 	if s.computeHook != nil {
-		return s.computeHook(req, fp, prior)
+		return s.computeHook(req, key.fp, prior)
 	}
-	iterations := req.Iterations
-	seed := runSeed(req, fp)
-	amplify := prior != nil && !prior.resp.Found && req.Algo.randomized()
-	if amplify {
-		iterations = req.Iterations - prior.budget
-		seed = sched.Tag(seed, amplifySalt, uint64(prior.budget))
+	r := s.runFor(req, key.fp, prior)
+	r.cancel = cancel
+	resp := &Response{Algo: req.Algo, K: req.K, Fingerprint: key.fp.String()}
+	if err := key.det.solo(&r, resp); err != nil {
+		return nil, false, err
 	}
-	resp := &Response{Algo: req.Algo, K: req.K, Fingerprint: fp.String()}
-	switch req.Algo {
-	case AlgoEven, AlgoBounded:
-		opt := core.Options{
-			Eps:           req.Eps,
-			MaxIterations: iterations,
-			Threshold:     req.Threshold,
-			Seed:          seed,
-			Workers:       s.cfg.Workers,
-			Shards:        s.cfg.Shards,
-			Parallel:      s.cfg.Parallel,
-			Pipelined:     req.Pipelined,
-			Cancel:        cancel,
-			Observe:       s.engineObs,
-		}
-		if req.Algo == AlgoEven {
-			res, err := core.DetectEvenCycle(req.Graph, req.K, opt)
-			if err != nil {
-				return nil, false, err
-			}
-			fillEven(resp, req.K, res)
-		} else {
-			res, err := core.DetectBoundedCycle(req.Graph, req.K, opt)
-			if err != nil {
-				return nil, false, err
-			}
-			resp.Found = res.Found
-			resp.Witness = res.Witness
-			resp.FoundLen = res.FoundLen
-			resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
-			resp.MaxCongestion, resp.Overflowed = res.MaxCongestion, res.Overflowed
-			resp.Iterations = res.IterationsRun
-		}
-	case AlgoOdd:
-		res, err := lowprob.DetectOdd(req.Graph, req.K, lowprob.OddOptions{
-			MaxIterations: iterations,
-			Threshold:     req.Threshold,
-			Seed:          seed,
-			Workers:       s.cfg.Workers,
-			Shards:        s.cfg.Shards,
-			Parallel:      s.cfg.Parallel,
-			SeedProb:      1,
-			Cancel:        cancel,
-			Observe:       s.engineObs,
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		resp.Found = res.Found
-		resp.Witness = res.Witness
-		if res.Found {
-			resp.FoundLen = 2*req.K + 1
-		}
-		resp.Rounds, resp.Messages = res.Rounds, res.Messages
-		resp.Iterations = res.IterationsRun
-	case AlgoDet:
-		res, err := deterministic.Detect(req.Graph, req.K, deterministic.Options{
-			Threshold: req.Threshold,
-			Workers:   s.cfg.Workers,
-			Shards:    s.cfg.Shards,
-			Cancel:    cancel,
-			Observe:   s.engineObs,
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		fillDet(resp, req.K, res)
-	default:
-		return nil, false, fmt.Errorf("service: unknown algo %q", req.Algo)
-	}
-	if amplify {
-		accumulatePrior(resp, prior.resp)
-	}
-	return resp, amplify, nil
+	return resp, accumulate(resp, prior), nil
 }
 
-// fillEven copies an Algorithm 1 result into a response (shared by the
-// solo and fused serve paths, which must produce identical responses).
-func fillEven(resp *Response, k int, res *core.Result) {
-	resp.Found = res.Found
-	resp.Witness = res.Witness
-	if res.Found {
-		resp.FoundLen = 2 * k
+// runFor is the run the service computes req with. The seed is derived
+// from (request seed, fingerprint; see runSeed). When prior is a cached
+// NotFound with budget B, only the missing req.Iterations-B trials run,
+// on a seed derived from (run seed, B), so the accumulated trial history
+// never repeats a coloring.
+func (s *Service) runFor(req *Request, fp graph.Fingerprint, prior *entry) run {
+	r := run{req: req, seed: runSeed(req, fp), iterations: req.Iterations, cfg: &s.cfg, observe: s.engineObs}
+	if prior != nil {
+		r.iterations -= prior.budget
+		r.seed = sched.Tag(r.seed, amplifySalt, uint64(prior.budget))
 	}
-	resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
-	resp.MaxCongestion, resp.Overflowed = res.MaxCongestion, res.Overflowed
-	resp.Iterations = res.IterationsRun
+	return r
 }
 
-// fillDet copies a deterministic-detector result into a response.
-func fillDet(resp *Response, k int, res *deterministic.Result) {
-	resp.Found = res.Found
-	resp.Witness = res.Witness
-	if res.Found {
-		resp.FoundLen = 2 * k
+// accumulate folds an amplified prior entry's history into resp, so it
+// reports the full budget the verdict rests on, and reports whether
+// there was one.
+func accumulate(resp *Response, prior *entry) bool {
+	if prior == nil {
+		return false
 	}
-	resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
-	resp.MaxCongestion, resp.Overflowed = res.MaxCongestion, res.Overflowed
-}
-
-// accumulatePrior folds a prior entry's history into an amplified
-// response so it reports the full budget the verdict rests on.
-func accumulatePrior(resp, p *Response) {
+	p := prior.resp
 	resp.Rounds += p.Rounds
 	resp.Messages += p.Messages
 	resp.Bits += p.Bits
 	resp.MaxCongestion = max(resp.MaxCongestion, p.MaxCongestion)
 	resp.Overflowed = resp.Overflowed || p.Overflowed
 	resp.Iterations += p.Iterations
+	return true
 }
 
 // Config returns the service configuration with defaults resolved.

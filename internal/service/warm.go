@@ -2,10 +2,8 @@ package service
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/graph"
-	"repro/internal/incr"
 )
 
 // Mutation reports one AddCorpusEdges call: the installed graph value and
@@ -30,15 +28,17 @@ type Mutation struct {
 	Fallbacks  int
 }
 
-// warmChild carries the parent graph's cached deterministic verdicts to
-// the child fingerprint, so the first detection after a mutation is a
-// cache hit instead of a full cold run. Three paths, in order of cost:
+// warmChild carries the parent graph's cached verdicts of detectors with
+// a recheck run (the deterministic one) to the child fingerprint, so the
+// first detection after a mutation is a cache hit instead of a full cold
+// run. Three paths, in order of cost:
 //
 //   - a cached Found survives edge addition verbatim (adding edges never
 //     destroys a cycle); the witness is re-verified against the child and
 //     the entry is re-keyed,
-//   - a cached NotFound triggers incr.Recheck: the detector runs only on
-//     the radius-2k ball around the added endpoints,
+//   - a cached NotFound triggers the detector's recheck: for det,
+//     incr.Recheck runs only on the radius-2k ball around the added
+//     endpoints,
 //   - when the recheck reports Fallback, a full detection runs under a
 //     normal admission slot — still at mutation time, so the verdict
 //     cache is warm either way.
@@ -56,7 +56,7 @@ func (s *Service) warmChild(parent, child *graph.Graph, added [][2]graph.NodeID)
 	var cands []cand
 	s.mu.Lock()
 	for key, el := range s.cache.items {
-		if key.algo == AlgoDet && key.fp == pfp {
+		if key.det.recheck != nil && key.fp == pfp {
 			cands = append(cands, cand{key, el.Value.(*lruItem).ent.resp})
 		}
 	}
@@ -78,22 +78,23 @@ func (s *Service) warmChild(parent, child *graph.Graph, added [][2]graph.NodeID)
 			}
 			resp = rekeyResponse(c.resp, cfp)
 		} else {
-			rc, err := incr.Recheck(child, added, c.key.k, incr.Options{
-				Threshold: c.key.threshold,
-				Workers:   s.cfg.Workers,
-				Shards:    s.cfg.Shards,
-			})
+			// The key holds every knob of the request that produced it.
+			req := &Request{Graph: child, Algo: c.key.det.algo, K: c.key.k, Seed: c.key.seed,
+				Threshold: c.key.threshold, Eps: c.key.eps, Pipelined: c.key.pipelined}
+			resp = &Response{Algo: req.Algo, K: req.K, Fingerprint: cfp.String()}
+			r := s.runFor(req, cfp, nil)
+			fallback, err := c.key.det.recheck(&r, added, resp)
 			if err != nil {
 				continue
 			}
-			if rc.Fallback {
+			if fallback {
+				// Localization failed: an ordinary full detection, taking a
+				// normal admission slot so warm work cannot oversubscribe
+				// the pool past Config.Slots.
 				fallbacks++
-				if resp, err = s.warmFullRun(child, c.key, cfp); err != nil {
+				if resp, _, err = s.soloSlot(context.Background(), req, childKey, nil, false); err != nil {
 					continue
 				}
-			} else {
-				resp = &Response{Algo: AlgoDet, K: c.key.k, Fingerprint: cfp.String()}
-				fillDet(resp, c.key.k, rc.Res)
 			}
 		}
 		warms++
@@ -104,25 +105,6 @@ func (s *Service) warmChild(parent, child *graph.Graph, added [][2]graph.NodeID)
 		s.mu.Unlock()
 	}
 	return warms, fallbacks
-}
-
-// warmFullRun is the localization fallback: an ordinary full deterministic
-// detection on the child graph, taking a normal admission slot so warm
-// work cannot oversubscribe the pool past Config.Slots.
-func (s *Service) warmFullRun(child *graph.Graph, key cacheKey, cfp graph.Fingerprint) (*Response, error) {
-	req := &Request{Graph: child, Algo: AlgoDet, K: key.k, Threshold: key.threshold}
-	ctx := context.Background()
-	if err := s.gate.Acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.gate.Release()
-	start := time.Now()
-	resp, _, err := s.computeGuarded(ctx, req, cfp, nil)
-	if err == nil {
-		s.noteSessionDuration(time.Since(start))
-		s.soloSessions.Add(1)
-	}
-	return resp, err
 }
 
 // rekeyResponse clones a cached response under a new fingerprint. The

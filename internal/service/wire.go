@@ -86,7 +86,7 @@ func (wg *WireGraph) Build() (*graph.Graph, error) {
 // from the inline edge list, and a zero trial budget takes
 // defaultIterations.
 func (s *Service) Resolve(wr *WireRequest, defaultIterations int) (*Request, error) {
-	algo, err := ParseAlgo(wr.Algo)
+	d, err := lookup(wr.Algo)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func (s *Service) Resolve(wr *WireRequest, defaultIterations int) (*Request, err
 		return nil, fmt.Errorf("service: request has neither corpus nor graph")
 	}
 	iters := wr.Iterations
-	if iters == 0 && algo.randomized() {
+	if iters == 0 && d.randomized {
 		iters = defaultIterations
 	}
 	if wr.DeadlineMS < 0 {
@@ -115,7 +115,7 @@ func (s *Service) Resolve(wr *WireRequest, defaultIterations int) (*Request, err
 	}
 	req := &Request{
 		Graph:      g,
-		Algo:       algo,
+		Algo:       d.algo,
 		K:          wr.K,
 		Seed:       wr.Seed,
 		Iterations: iters,

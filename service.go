@@ -3,7 +3,6 @@ package evencycle
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/service"
@@ -114,46 +113,24 @@ func NewService(opts ...ServiceOption) *Service {
 	return &Service{svc: service.New(c.cfg), iterations: c.iterations}
 }
 
-// request maps facade options onto a service request.
+// request maps facade options onto a service request; a call without
+// WithIterations takes the service's default budget.
 func (s *Service) request(g *Graph, algo service.Algo, k int, opts []Option) *service.Request {
 	c := buildConfig(opts)
-	iters := c.iterations
-	if iters <= 0 {
-		iters = s.iterations
+	req := c.request(g, algo, k)
+	if req.Iterations <= 0 {
+		req.Iterations = s.iterations
 	}
-	return &service.Request{
-		Graph:      g,
-		Algo:       algo,
-		K:          k,
-		Seed:       c.seed,
-		Iterations: iters,
-		Threshold:  c.threshold,
-		Eps:        c.eps,
-		Pipelined:  c.pipelined,
-	}
+	return req
 }
 
-// do executes the request and converts the response. The witness is
-// cloned: the service's Response (and its witness slice) is shared by
-// every cache hit on the key, while the direct Detect path hands each
-// caller a fresh slice — a caller mutating Result.Witness must not
-// corrupt the cache entry behind everyone else's hits.
+// do executes the request and converts the response (see resultOf).
 func (s *Service) do(ctx context.Context, req *service.Request) (*Result, ServiceSource, error) {
 	resp, src, err := s.svc.Do(ctx, req)
 	if err != nil {
 		return nil, src, fmt.Errorf("evencycle: %w", err)
 	}
-	return &Result{
-		Found:         resp.Found,
-		Witness:       slices.Clone(resp.Witness),
-		FoundLen:      resp.FoundLen,
-		Rounds:        resp.Rounds,
-		Messages:      resp.Messages,
-		Bits:          resp.Bits,
-		MaxCongestion: resp.MaxCongestion,
-		Overflowed:    resp.Overflowed,
-		Iterations:    resp.Iterations,
-	}, src, nil
+	return resultOf(resp), src, nil
 }
 
 // Detect serves a C_{2k}-freeness decision (Algorithm 1) through the
