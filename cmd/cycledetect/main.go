@@ -180,13 +180,15 @@ func run() error {
 		}
 		out.Trials = *trials
 		winnerTrial := -1
-		res, err := sched.Run(sched.TrialRunner{Workers: par}, *trials,
+		// The parallelism budget is spent at the trial level here: each
+		// trial runs its own iterations sequentially, and on serial
+		// engines while several trials are in flight, rather than
+		// multiplying the two levels.
+		runner, workers := sched.Budget(par, 0, *trials)
+		res, err := sched.Run(runner, *trials,
 			func(i int) (*outcome, error) {
-				// The parallelism budget is spent at the trial level here;
-				// each trial runs its own iterations sequentially rather
-				// than multiplying the two levels.
 				trialOut := &outcome{}
-				opts := append(baseOpts(sched.Tag(*seed, uint64(i))), evencycle.WithParallel(1))
+				opts := append(baseOpts(sched.Tag(*seed, uint64(i))), evencycle.WithParallel(1), evencycle.WithWorkers(workers))
 				found, err := fill(trialOut, opts...)
 				if err != nil {
 					return nil, fmt.Errorf("trial %d: %w", i, err)

@@ -106,8 +106,11 @@ func WithIterations(k int) Option { return func(c *config) { c.iterations = k } 
 // graph and the seed).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithWorkers sets the simulator's goroutine pool size (default
-// GOMAXPROCS).
+// WithWorkers sets the simulator's goroutine pool size per engine
+// session. The default is one worker per CPU, except while several
+// trials run concurrently (see WithParallel): then each trial's sessions
+// run on one worker, so the cores are spent on trials rather than split
+// inside every round. An explicit w > 0 always holds.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 
 // WithShards overrides the receiver-shard count of the simulator's
@@ -126,8 +129,9 @@ func WithThreshold(tau int) Option { return func(c *config) { c.threshold = tau 
 
 // WithParallel sets how many independent trials (coloring iterations, or
 // amplification attempts in the quantum detectors) run concurrently on
-// the shared trial scheduler: 0 or 1 sequential, negative GOMAXPROCS.
-// Results are deterministic for a fixed seed regardless of this setting.
+// the shared trial scheduler: 1 sequential; 0, negative or unset one per
+// CPU (GOMAXPROCS). Results are deterministic for a fixed seed
+// regardless of this setting and of WithWorkers.
 func WithParallel(p int) Option { return func(c *config) { c.parallel = p } }
 
 // WithPipelinedSchedule selects the pipelined color-BFS schedule instead
@@ -142,10 +146,15 @@ func WithSimulationBudget(sims int) Option { return func(c *config) { c.maxSims 
 // WithQuantumError sets the quantum target error δ (default 1/n²).
 func WithQuantumError(delta float64) Option { return func(c *config) { c.delta = delta } }
 
+// buildConfig applies opts over the defaults: an unset (or zero)
+// parallelism runs one trial per CPU.
 func buildConfig(opts []Option) config {
 	var c config
 	for _, o := range opts {
 		o(&c)
+	}
+	if c.parallel == 0 {
+		c.parallel = -1
 	}
 	return c
 }

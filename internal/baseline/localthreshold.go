@@ -36,7 +36,8 @@ type LocalThresholdOptions struct {
 	Shards            int
 	ParallelThreshold int
 	// Parallel is the number of attempts in flight (0/1 sequential,
-	// negative GOMAXPROCS); results are deterministic regardless.
+	// negative GOMAXPROCS); results are deterministic regardless. Auto
+	// Workers follow sched.Budget.
 	Parallel  int
 	KeepGoing bool
 }
@@ -87,7 +88,8 @@ func DetectLocalThreshold(g *graph.Graph, k int, opt LocalThresholdOptions) (*Lo
 
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
+	runner, workers := sched.Budget(opt.Parallel, opt.Workers, attempts)
+	eng.Workers = workers
 	eng.Shards = opt.Shards
 	eng.ParallelThreshold = opt.ParallelThreshold
 
@@ -164,7 +166,6 @@ func DetectLocalThreshold(g *graph.Graph, k int, opt LocalThresholdOptions) (*Lo
 		}
 		return res.Found && !opt.KeepGoing
 	}
-	runner := sched.TrialRunner{Workers: opt.Parallel}
 	if _, err := sched.Run(runner, attempts, trial, fold); err != nil {
 		return nil, err
 	}

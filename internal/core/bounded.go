@@ -67,7 +67,8 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 	n := g.NumNodes()
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
+	runner, workers := sched.Budget(opt.Parallel, opt.Workers, params.Iterations)
+	eng.Workers = workers
 	eng.Shards = opt.Shards
 	eng.ParallelThreshold = opt.ParallelThreshold
 	eng.MaxRounds = opt.MaxRounds
@@ -104,7 +105,6 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 	// so the pair loop stays sequential while the iterations within a pair
 	// run as independent trials on the shared scheduler. One invocation
 	// pool serves every pair (the vertex count never changes).
-	runner := sched.TrialRunner{Workers: opt.Parallel}
 	pool := NewColorBFSPool(n)
 	for ell := 2; ell <= k && !res.Found; ell++ {
 		L := 2 * ell

@@ -46,7 +46,8 @@ type Options struct {
 	KeepGoing bool
 	// Seed is the master random seed.
 	Seed uint64
-	// Workers configures engine parallelism (0 = GOMAXPROCS).
+	// Workers configures engine parallelism (0 = GOMAXPROCS, or serial
+	// sessions while several trials are in flight; see sched.Budget).
 	Workers int
 	// Shards overrides the receiver-shard count of the engine's parallel
 	// delivery phase and ParallelThreshold its serial/parallel cutover
@@ -185,7 +186,8 @@ func runAlgorithm1Capturing(g *graph.Graph, params Params, opt Options) (*Result
 	n := g.NumNodes()
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
+	runner, workers := sched.Budget(opt.Parallel, opt.Workers, params.Iterations)
+	eng.Workers = workers
 	eng.Shards = opt.Shards
 	eng.ParallelThreshold = opt.ParallelThreshold
 	eng.MaxRounds = opt.MaxRounds
@@ -312,7 +314,6 @@ func runAlgorithm1Capturing(g *graph.Graph, params Params, opt Options) (*Result
 		}
 		return res.Found && !opt.KeepGoing
 	}
-	runner := sched.TrialRunner{Workers: opt.Parallel}
 	if _, err := sched.Run(runner, params.Iterations, trial, fold); err != nil {
 		return nil, nil, det, nil, err
 	}

@@ -104,7 +104,8 @@ func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
 	n := g.NumNodes()
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
+	runner, workers := sched.Budget(opt.Parallel, opt.Workers, params.Iterations)
+	eng.Workers = workers
 	eng.Shards = opt.Shards
 	eng.ParallelThreshold = opt.ParallelThreshold
 	eng.MaxRounds = opt.MaxRounds
@@ -203,7 +204,6 @@ func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
 		}
 		return false
 	}
-	runner := sched.TrialRunner{Workers: opt.Parallel}
 	if _, err := sched.Run(runner, params.Iterations, trial, fold); err != nil {
 		return nil, err
 	}

@@ -104,7 +104,8 @@ type OddOptions struct {
 	Shards            int
 	ParallelThreshold int
 	// Parallel is the number of coloring trials in flight (0/1 sequential,
-	// negative GOMAXPROCS); results are deterministic regardless.
+	// negative GOMAXPROCS); results are deterministic regardless. Auto
+	// Workers follow sched.Budget.
 	Parallel  int
 	KeepGoing bool
 	// Cancel aborts in-flight engine sessions at the next round boundary
@@ -158,7 +159,8 @@ func DetectOdd(g *graph.Graph, k int, opt OddOptions) (*OddResult, error) {
 
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
+	runner, workers := sched.Budget(opt.Parallel, opt.Workers, iterations)
+	eng.Workers = workers
 	eng.Shards = opt.Shards
 	eng.ParallelThreshold = opt.ParallelThreshold
 	eng.Cancel = opt.Cancel
@@ -225,7 +227,6 @@ func DetectOdd(g *graph.Graph, k int, opt OddOptions) (*OddResult, error) {
 		}
 		return res.Found && !opt.KeepGoing
 	}
-	runner := sched.TrialRunner{Workers: opt.Parallel}
 	if _, err := sched.Run(runner, iterations, trial, fold); err != nil {
 		return nil, err
 	}

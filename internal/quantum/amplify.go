@@ -79,19 +79,9 @@ type AmplifyResult struct {
 // O(log(1/δ))·⌈π/(4√ε)⌉·(D + T_setup) rounds, where T_setup is measured
 // from the executed attempts (election + A + convergecast).
 func AmplifyMonteCarlo(attempt Attempt, opt AmplifyOptions) (*AmplifyResult, error) {
-	if opt.Eps <= 0 || opt.Eps > 1 {
-		return nil, fmt.Errorf("quantum: ε = %v outside (0,1]", opt.Eps)
-	}
-	delta := opt.Delta
-	if delta == 0 {
-		n := float64(opt.N)
-		if n < 2 {
-			n = 2
-		}
-		delta = 1 / (n * n)
-	}
-	if delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("quantum: δ = %v outside (0,1)", delta)
+	sims, delta, err := opt.simulations()
+	if err != nil {
+		return nil, err
 	}
 
 	res := &AmplifyResult{}
@@ -100,16 +90,6 @@ func AmplifyMonteCarlo(attempt Attempt, opt AmplifyOptions) (*AmplifyResult, err
 	led.GroverIterations = math.Ceil(math.Pi / (4 * math.Sqrt(opt.Eps)))
 	led.Repetitions = math.Ceil(math.Log(1/delta) / math.Ln2)
 
-	// Classical realization of the semantics: repeat Setup until success
-	// or budget exhaustion.
-	budget := math.Ceil(math.Log(1/delta) / opt.Eps)
-	sims := int(budget)
-	if budget > float64(math.MaxInt32) {
-		sims = math.MaxInt32
-	}
-	if opt.MaxSims > 0 && opt.MaxSims < sims {
-		sims = opt.MaxSims
-	}
 	type attemptOutcome struct {
 		found   bool
 		witness []graph.NodeID
@@ -117,7 +97,7 @@ func AmplifyMonteCarlo(attempt Attempt, opt AmplifyOptions) (*AmplifyResult, err
 	}
 	maxAttemptRounds := 0
 	runner := sched.TrialRunner{Workers: opt.Parallel}
-	_, err := sched.Run(runner, sims,
+	_, err = sched.Run(runner, sims,
 		func(i int) (attemptOutcome, error) {
 			found, witness, rounds, err := attempt(i)
 			if err != nil {
@@ -145,6 +125,36 @@ func AmplifyMonteCarlo(attempt Attempt, opt AmplifyOptions) (*AmplifyResult, err
 	led.QuantumRounds = led.Repetitions * led.GroverIterations *
 		(float64(opt.Diameter) + led.SetupRounds)
 	return res, nil
+}
+
+// simulations validates ε and δ and returns the number of Setup
+// simulations that realize the semantics classically — repeat Setup
+// until success or budget exhaustion: ⌈ln(1/δ)/ε⌉, capped at MaxSims —
+// and the resolved δ.
+func (opt AmplifyOptions) simulations() (int, float64, error) {
+	if opt.Eps <= 0 || opt.Eps > 1 {
+		return 0, 0, fmt.Errorf("quantum: ε = %v outside (0,1]", opt.Eps)
+	}
+	delta := opt.Delta
+	if delta == 0 {
+		n := float64(opt.N)
+		if n < 2 {
+			n = 2
+		}
+		delta = 1 / (n * n)
+	}
+	if delta <= 0 || delta >= 1 {
+		return 0, 0, fmt.Errorf("quantum: δ = %v outside (0,1)", delta)
+	}
+	budget := math.Ceil(math.Log(1/delta) / opt.Eps)
+	sims := int(budget)
+	if budget > float64(math.MaxInt32) {
+		sims = math.MaxInt32
+	}
+	if opt.MaxSims > 0 && opt.MaxSims < sims {
+		sims = opt.MaxSims
+	}
+	return sims, delta, nil
 }
 
 // ClassicalBoostRounds is the cost of achieving the same error δ by

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lowprob"
 	"repro/internal/proto"
+	"repro/internal/sched"
 )
 
 // Options tunes the quantum detectors.
@@ -46,7 +47,7 @@ type Options struct {
 
 	// Parallel is the number of Setup simulations amplified concurrently
 	// per component (0/1 sequential, negative GOMAXPROCS); see
-	// AmplifyOptions.Parallel.
+	// AmplifyOptions.Parallel. Auto Workers follow sched.Budget.
 	Parallel int
 }
 
@@ -86,8 +87,9 @@ type pipeline struct {
 	// eps returns the base success probability of one attempt on an
 	// n-vertex (sub)graph.
 	eps func(n int) (float64, error)
-	// attempt runs the base low-probability algorithm on a subgraph.
-	attempt func(sub *graph.Graph, seed uint64) (bool, []graph.NodeID, int, error)
+	// attempt runs the base low-probability algorithm on a subgraph, its
+	// engine sessions with the given Workers.
+	attempt func(sub *graph.Graph, seed uint64, workers int) (bool, []graph.NodeID, int, error)
 }
 
 // DetectEvenCycle is the paper's quantum C_{2k}-freeness algorithm
@@ -102,12 +104,12 @@ func DetectEvenCycle(g *graph.Graph, k int, opt Options) (*Result, error) {
 	pipe := pipeline{
 		hSize: 2 * k,
 		eps:   func(n int) (float64, error) { return lowprob.SuccessProb(n, k) },
-		attempt: func(sub *graph.Graph, seed uint64) (bool, []graph.NodeID, int, error) {
+		attempt: func(sub *graph.Graph, seed uint64, workers int) (bool, []graph.NodeID, int, error) {
 			res, err := lowprob.Detect(sub, k, core.Options{
 				Seed:              seed,
 				MaxIterations:     opt.AttemptIterations,
 				SeedProb:          opt.AttemptSeedProb,
-				Workers:           opt.Workers,
+				Workers:           workers,
 				Shards:            opt.Shards,
 				ParallelThreshold: opt.ParallelThreshold,
 			})
@@ -129,12 +131,12 @@ func DetectOddCycle(g *graph.Graph, k int, opt Options) (*Result, error) {
 	pipe := pipeline{
 		hSize: 2*k + 1,
 		eps:   func(n int) (float64, error) { return lowprob.OddSuccessProb(n), nil },
-		attempt: func(sub *graph.Graph, seed uint64) (bool, []graph.NodeID, int, error) {
+		attempt: func(sub *graph.Graph, seed uint64, workers int) (bool, []graph.NodeID, int, error) {
 			res, err := lowprob.DetectOdd(sub, k, lowprob.OddOptions{
 				Seed:              seed,
 				MaxIterations:     opt.AttemptIterations,
 				SeedProb:          opt.AttemptSeedProb,
-				Workers:           opt.Workers,
+				Workers:           workers,
 				Shards:            opt.Shards,
 				ParallelThreshold: opt.ParallelThreshold,
 			})
@@ -157,12 +159,12 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*Result, error) {
 	pipe := pipeline{
 		hSize: 2 * k,
 		eps:   func(n int) (float64, error) { return lowprob.BoundedSuccessProb(n, k) },
-		attempt: func(sub *graph.Graph, seed uint64) (bool, []graph.NodeID, int, error) {
+		attempt: func(sub *graph.Graph, seed uint64, workers int) (bool, []graph.NodeID, int, error) {
 			res, err := lowprob.DetectBounded(sub, k, core.Options{
 				Seed:              seed,
 				MaxIterations:     opt.AttemptIterations,
 				SeedProb:          opt.AttemptSeedProb,
-				Workers:           opt.Workers,
+				Workers:           workers,
 				Shards:            opt.Shards,
 				ParallelThreshold: opt.ParallelThreshold,
 			})
@@ -286,11 +288,7 @@ func amplifyComponent(comp decomp.Component, pipe pipeline, opt Options, salt ui
 	if err != nil {
 		return Ledger{}, false, nil, err
 	}
-	attempt := func(i int) (bool, []graph.NodeID, int, error) {
-		seed := opt.Seed ^ (salt+1)*0xbf58476d1ce4e5b9 ^ uint64(i+1)*0x94d049bb133111eb
-		return pipe.attempt(comp.Sub, seed)
-	}
-	amp, err := AmplifyMonteCarlo(attempt, AmplifyOptions{
+	ampOpt := AmplifyOptions{
 		Eps:         eps,
 		Delta:       opt.Delta,
 		N:           n,
@@ -299,7 +297,18 @@ func amplifyComponent(comp decomp.Component, pipe pipeline, opt Options, salt ui
 		Diameter:    diameter,
 		MaxSims:     opt.MaxSims,
 		Parallel:    opt.Parallel,
-	})
+	}
+	sims, _, err := ampOpt.simulations()
+	if err != nil {
+		return Ledger{}, false, nil, err
+	}
+	// The attempts are the trials AmplifyMonteCarlo runs in parallel.
+	_, workers := sched.Budget(opt.Parallel, opt.Workers, sims)
+	attempt := func(i int) (bool, []graph.NodeID, int, error) {
+		seed := opt.Seed ^ (salt+1)*0xbf58476d1ce4e5b9 ^ uint64(i+1)*0x94d049bb133111eb
+		return pipe.attempt(comp.Sub, seed, workers)
+	}
+	amp, err := AmplifyMonteCarlo(attempt, ampOpt)
 	if err != nil {
 		return Ledger{}, false, nil, err
 	}

@@ -24,6 +24,15 @@
 // trial(j). Determinism inside one trial is the trial's own business —
 // detectors achieve it by deriving all randomness from Tag(seed, i, ...).
 //
+// CPU budget. Trials usually run CONGEST engine sessions, and the engine
+// has its own worker pool that forks and joins twice per round. Budget
+// is the one rule every detector applies when pairing the two levels:
+// with more than one trial in flight and the engine's Workers left auto,
+// every engine session of the batch runs serially, so the cores are
+// spent on trials rather than split inside every round. Explicit engine
+// Workers are honored, and a batch with at most one trial in flight
+// keeps the parallel engine.
+//
 // Gate complements TrialRunner for long-running servers: a FIFO-fair,
 // context-aware admission semaphore that bounds how many computations run
 // at once (the detection service admits every request through one before

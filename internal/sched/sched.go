@@ -22,6 +22,23 @@ func (r TrialRunner) workers() int {
 	return r.Workers
 }
 
+// Budget is the one CPU-budget rule for trials that run engine sessions.
+// parallel is the trial parallelism (TrialRunner.Workers), workers the
+// engine's Workers knob (≤ 0 = auto, one per CPU) and trials the batch
+// size. When more than one trial is in flight and workers is auto, every
+// engine session of the batch runs serially: the cores go to trials,
+// whose workers start once per batch, instead of to rounds, whose
+// workers fork and join twice per round. An explicit workers > 0 is
+// returned as is, and so is any workers when at most one trial runs at
+// a time. Results do not depend on either count.
+func Budget(parallel, workers, trials int) (TrialRunner, int) {
+	r := TrialRunner{Workers: parallel}
+	if workers <= 0 && min(r.workers(), trials) > 1 {
+		workers = 1
+	}
+	return r, workers
+}
+
 // Result summarizes one batch.
 type Result struct {
 	// Stopped is the index of the trial whose fold returned true, or -1

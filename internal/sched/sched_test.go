@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -128,6 +129,42 @@ func TestZeroAndSmallBatches(t *testing.T) {
 	res, err = Run(TrialRunner{Workers: 3}, 50, func(i int) (int, error) { return i, nil }, nil)
 	if err != nil || res.Folded != 50 || res.Stopped != -1 {
 		t.Fatalf("nil fold: %+v err=%v", res, err)
+	}
+}
+
+// TestBudget pins the CPU-budget rule: auto engine workers drop to one
+// exactly when more than one trial is in flight, and the runner always
+// carries the trial parallelism through unchanged.
+func TestBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cases := []struct {
+		name                      string
+		procs                     int
+		parallel, workers, trials int
+		want                      int
+	}{
+		{"parallel trials serialize auto engines", 4, 2, 0, 8, 1},
+		{"all cores serialize auto engines", 4, -1, 0, 8, 1},
+		{"negative workers are auto", 4, 3, -1, 8, 1},
+		{"one trial keeps auto engines", 4, 2, 0, 1, 0},
+		{"one trial, all cores", 4, -1, 0, 1, 0},
+		{"no trials keep auto engines", 4, -1, 0, 0, 0},
+		{"parallel 0 is sequential", 4, 0, 0, 8, 0},
+		{"parallel 1 is sequential", 4, 1, 0, 8, 0},
+		{"sequential keeps negative workers", 4, 1, -1, 8, -1},
+		{"explicit workers hold under parallel trials", 4, 2, 3, 8, 3},
+		{"explicit serial workers", 4, -1, 1, 8, 1},
+		{"explicit workers, sequential", 4, 1, 2, 8, 2},
+		{"one CPU: all cores is one trial", 1, -1, 0, 8, 0},
+		{"one CPU: explicit parallel still counts", 1, 2, 0, 8, 1},
+	}
+	for _, c := range cases {
+		runtime.GOMAXPROCS(c.procs)
+		r, w := Budget(c.parallel, c.workers, c.trials)
+		if r.Workers != c.parallel || w != c.want {
+			t.Errorf("%s: Budget(%d, %d, %d) at GOMAXPROCS=%d = (runner %d, workers %d), want (runner %d, workers %d)",
+				c.name, c.parallel, c.workers, c.trials, c.procs, r.Workers, w, c.parallel, c.want)
+		}
 	}
 }
 

@@ -53,9 +53,9 @@ func WithServiceCache(entries int) ServiceOption {
 	return func(c *serviceConfig) { c.cfg.CacheEntries = entries }
 }
 
-// WithServiceParallel sets the per-request trial parallelism (matching
-// WithParallel on the direct detection calls: 0/1 sequential, negative
-// GOMAXPROCS).
+// WithServiceParallel sets the per-request trial parallelism: 0/1
+// sequential (the default, unlike the direct detection calls'
+// WithParallel), negative GOMAXPROCS.
 func WithServiceParallel(p int) ServiceOption {
 	return func(c *serviceConfig) { c.cfg.Parallel = p }
 }
